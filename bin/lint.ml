@@ -1,10 +1,10 @@
 (* lint — the AST-level concurrency-discipline linter.
 
-     lint [--rule L1,L2,...] [--format text|json|sarif] [--dir DIR]... ROOT
+     lint [--rule L1,L3,...] [--format text|json|sarif] [--dir DIR]... ROOT
      lint [--rule ...] [--format ...] FILE.ml
 
    Parses every algorithm source under ROOT (default directories
-   lib/lists, lib/skiplists, lib/trees, lib/shard with all seven rules,
+   lib/lists, lib/skiplists, lib/trees, lib/shard with all six rules,
    plus lib/reclaim with the backend subset L3..L7 — override with
    repeated --dir, which lints the named directories uniformly) and
    enforces the discipline rules of vbl.lint; see FRAMEWORK.md "Static
@@ -12,7 +12,7 @@
    missing-directory errors.                                            *)
 
 let usage =
-  "usage: lint [--rule L1,L2,...] [--format text|json|sarif] [--dir DIR]... ROOT|FILE.ml"
+  "usage: lint [--rule L1,L3,...] [--format text|json|sarif] [--dir DIR]... ROOT|FILE.ml"
 
 module F = Vbl_lint.Finding
 
@@ -24,7 +24,7 @@ let parse_rules s =
          else
            match F.rule_of_string chunk with
            | Some r -> Some r
-           | None -> failwith ("unknown rule: " ^ chunk ^ " (expected L1..L7)"))
+           | None -> failwith ("unknown rule: " ^ chunk ^ " (expected L1, L3..L7)"))
 
 let emit_text ~target findings =
   List.iter (fun f -> print_endline (F.to_string f)) findings;

@@ -1,10 +1,9 @@
 (* See finding.mli. *)
 
-type rule = L1 | L2 | L3 | L4 | L5 | L6 | L7 | Parse
+type rule = L1 | L3 | L4 | L5 | L6 | L7 | Parse
 
 let rule_to_string = function
   | L1 -> "L1"
-  | L2 -> "L2"
   | L3 -> "L3"
   | L4 -> "L4"
   | L5 -> "L5"
@@ -14,7 +13,6 @@ let rule_to_string = function
 
 let rule_of_string = function
   | "L1" | "l1" -> Some L1
-  | "L2" | "l2" -> Some L2
   | "L3" | "l3" -> Some L3
   | "L4" | "l4" -> Some L4
   | "L5" | "l5" -> Some L5
@@ -24,7 +22,6 @@ let rule_of_string = function
 
 let describe = function
   | L1 -> "backend confinement: shared accesses only through the memory-backend functor"
-  | L2 -> "named-guard discipline: Naming.* only under an [if M.named] guard"
   | L3 -> "static lock pairing: every acquisition released on all syntactic exits"
   | L4 -> "hot-path allocation: no closures, tuples, records or staged applications under [@hot]"
   | L5 ->
@@ -38,7 +35,7 @@ let describe = function
        store/CAS (or version bump) that publishes it"
   | Parse -> "file does not parse"
 
-let all_rules = [ L1; L2; L3; L4; L5; L6; L7 ]
+let all_rules = [ L1; L3; L4; L5; L6; L7 ]
 
 type t = { rule : rule; file : string; line : int; col : int; message : string }
 

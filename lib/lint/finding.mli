@@ -4,7 +4,6 @@
 
 type rule =
   | L1  (** backend confinement — no raw [Atomic]/[Mutex]/mutation outside [M.] *)
-  | L2  (** named-guard discipline — [Naming.*] only under [if M.named] *)
   | L3  (** static lock pairing — acquisitions released on all syntactic exits *)
   | L4  (** hot-path allocation — no closures/tuples/records under [@hot] *)
   | L5
@@ -22,13 +21,15 @@ type rule =
 
 val rule_to_string : rule -> string
 val rule_of_string : string -> rule option
-(** Recognizes ["L1"]..["L7"] (case-insensitive); [Parse] is not selectable. *)
+(** Recognizes ["L1"] and ["L3"]..["L7"] (case-insensitive).  ["L2"] (the
+    retired named-guard rule; ids were kept stable) and [Parse] are not
+    selectable. *)
 
 val describe : rule -> string
 (** One-line summary of what the rule enforces. *)
 
 val all_rules : rule list
-(** The seven selectable rules, in order. *)
+(** The six selectable rules, in order. *)
 
 type t = { rule : rule; file : string; line : int; col : int; message : string }
 

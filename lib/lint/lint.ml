@@ -7,8 +7,8 @@ let backend_rules = Finding.[ L3; L4; L5; L6; L7 ]
 (* The source-discipline subset for non-reclaiming algorithm directories:
    the reclamation-safety rules L5–L7 only constrain code that brackets
    epochs and retires nodes, which lib/trees does not do yet — cap it at
-   L1–L4 until a tree gains a -reclaim twin. *)
-let non_reclaiming_rules = Finding.[ L1; L2; L3; L4 ]
+   L1, L3 and L4 until a tree gains a -reclaim twin. *)
+let non_reclaiming_rules = Finding.[ L1; L3; L4 ]
 
 let default_targets =
   List.map

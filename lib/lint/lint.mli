@@ -12,8 +12,8 @@
 val default_targets : (string * Finding.rule list) list
 (** The directories the discipline applies to, each with the rules that
     make sense there: the structure directories ([lib/lists],
-    [lib/skiplists], [lib/shard]) get all seven rules; [lib/trees] is
-    capped at L1–L4 until reclamation lands there (L5–L7 constrain
+    [lib/skiplists], [lib/shard]) get all six rules; [lib/trees] is
+    capped at L1, L3 and L4 until reclamation lands there (L5–L7 constrain
     epoch-bracketed, retiring code only); [lib/reclaim] is backend code —
     it implements the cells and pools the functor hands out, so raw
     atomics and mutable fields are its job — and is linted with L3–L7
@@ -24,7 +24,7 @@ val default_dirs : string list
 
 val lint_file :
   ?rules:Finding.rule list -> ?display_name:string -> string -> Finding.t list
-(** Lint one file ([rules] defaults to all seven).  [display_name] is the
+(** Lint one file ([rules] defaults to all six).  [display_name] is the
     path recorded in findings (defaults to the path itself).  The summary
     pass sees just this file.  A file that does not parse yields a single
     {!Finding.Parse} finding rather than being skipped. *)

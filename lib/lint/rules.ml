@@ -1,7 +1,7 @@
-(* The seven concurrency-discipline rules, implemented over the parsetree.
+(* The six concurrency-discipline rules, implemented over the parsetree.
    See rules.mli for the contract of each rule and the exact approximations
    this pass makes.  The walk is a single Ast_iterator traversal for the
-   scoped rules (L1/L2) with per-function analyses (L3/L4/L6/L7 and L5's
+   scoped rule (L1) with per-function analyses (L3/L4/L6/L7 and L5's
    bracket balance) triggered from the value-binding hook, so nested
    [let rec attempt ... in] loops are checked exactly like top-level
    bindings.  L5's interprocedural part runs off the {!Summaries} pass
@@ -14,7 +14,6 @@ module SMap = Map.Make (String)
 type ctx = {
   file : string;
   l1 : bool;
-  l2 : bool;
   l3 : bool;
   l4 : bool;
   l5 : bool;
@@ -22,7 +21,6 @@ type ctx = {
   l7 : bool;
   summary : Summaries.file_info;
   mutable env : string list SMap.t;  (** local module aliases, name -> canonical path *)
-  mutable guarded : bool;  (** inside the then-branch of an [if M.named] *)
   mutable exempt : int;  (** depth of enclosing [@acquires]/inferred-release bindings (L3 off) *)
   mutable ref_ok : (int * int) list;  (** locs of [ref] idents in local let binders *)
   mutable findings : Finding.t list;
@@ -55,7 +53,7 @@ let has_attr name attrs =
 let loc_key (loc : Location.t) = (loc.loc_start.pos_lnum, loc.loc_start.pos_cnum)
 
 (* ------------------------------------------------------------------ *)
-(* Shared path checks (L1 confinement, L2 naming mentions)            *)
+(* Shared path check (L1 confinement)                                 *)
 (* ------------------------------------------------------------------ *)
 
 let check_path ctx (loc : Location.t) path =
@@ -63,32 +61,7 @@ let check_path ctx (loc : Location.t) path =
   if ctx.l1 && List.exists is_forbidden_root resolved then
     report ctx Finding.L1 loc
       (Printf.sprintf "raw %s access outside the memory backend (use the M.* functor argument)"
-         (String.concat "." resolved));
-  if ctx.l2 && List.exists (String.equal "Naming") resolved && not ctx.guarded then
-    report ctx Finding.L2 loc
-      (Printf.sprintf "%s outside an [if M.named] guard (names must not be built on the real backend)"
-         (String.concat "." path))
-
-(* Does an expression mention an identifier whose last component is
-   [named] (e.g. [M.named])?  Used to recognize L2 guards. *)
-let mentions_named e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } -> (
-              match List.rev (flatten txt) with
-              | "named" :: _ -> found := true
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
+         (String.concat "." resolved))
 
 (* ------------------------------------------------------------------ *)
 (* Paired-operation balance (L3 locks, L5 epoch brackets)             *)
@@ -714,7 +687,6 @@ let file ?(summaries = Summaries.empty) ~rules ~file:fname (str : structure) : F
     {
       file = fname;
       l1 = has Finding.L1;
-      l2 = has Finding.L2;
       l3 = has Finding.L3;
       l4 = has Finding.L4;
       l5 = has Finding.L5;
@@ -722,7 +694,6 @@ let file ?(summaries = Summaries.empty) ~rules ~file:fname (str : structure) : F
       l7 = has Finding.L7;
       summary = summaries;
       env = SMap.empty;
-      guarded = false;
       exempt = 0;
       ref_ok = [];
       findings = [];
@@ -777,16 +748,6 @@ let file ?(summaries = Summaries.empty) ~rules ~file:fname (str : structure) : F
                 vbs;
               List.iter (it.value_binding it) vbs;
               it.expr it body
-          | Pexp_ifthenelse (c, t, eo) ->
-              it.expr it c;
-              if ctx.l2 && mentions_named c then begin
-                let saved = ctx.guarded in
-                ctx.guarded <- true;
-                it.expr it t;
-                ctx.guarded <- saved
-              end
-              else it.expr it t;
-              Option.iter (it.expr it) eo
           | Pexp_open (od, body) ->
               check_open_like od.popen_loc od.popen_expr;
               scoped_env (fun () -> it.expr it body)
@@ -801,20 +762,6 @@ let file ?(summaries = Summaries.empty) ~rules ~file:fname (str : structure) : F
                   it.expr it body)
           | _ -> default.expr it e)
       ;
-      case =
-        (fun it c ->
-          it.pat it c.pc_lhs;
-          match c.pc_guard with
-          | Some g when ctx.l2 && mentions_named g ->
-              it.expr it g;
-              let saved = ctx.guarded in
-              ctx.guarded <- true;
-              it.expr it c.pc_rhs;
-              ctx.guarded <- saved
-          | Some g ->
-              it.expr it g;
-              it.expr it c.pc_rhs
-          | None -> it.expr it c.pc_rhs);
       value_binding =
         (fun it vb ->
           if ctx.l4 && has_attr "hot" vb.pvb_attributes then l4_check ctx vb;

@@ -1,4 +1,4 @@
-(** The seven concurrency-discipline rules, as a static pass over a parsed
+(** The six concurrency-discipline rules, as a static pass over a parsed
     implementation.  What each rule enforces — and the approximations the
     pass knowingly makes — in one place:
 
@@ -13,12 +13,6 @@
     and array element writes — the thread-local temporary idiom of the
     skiplists, invisible to schedules.  Mentions in comments and string
     literals never flag (the grep lint's false-positive class).
-
-    {b L2 — named-guard discipline.}  Any identifier path containing the
-    [Naming] module must occur under a guard mentioning an identifier whose
-    last component is [named] — the then-branch of [if M.named then ...] or
-    a [when M.named] match guard — so the real backend never builds step
-    names (the PR 2 zero-allocation contract).
 
     {b L3 — static lock pairing.}  Within each function body (nested
     [let rec attempt ... in] loops included), every syntactic [M.lock]

@@ -13,8 +13,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Set_intf.S = struct
   type t = { lock : M.lock; inner : Seq.t }
 
   let create () =
-    let line = M.fresh_line () in
-    { lock = M.make_lock ~name:"global.lock" ~line (); inner = Seq.create () }
+    let s = M.site "global" in
+    { lock = M.make_lock s "lock"; inner = Seq.create () }
 
   let critical t f =
     M.lock t.lock;

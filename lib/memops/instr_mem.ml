@@ -4,7 +4,7 @@
 
     Atomicity model: the handler resumes exactly one thread at a time, and a
     resumed thread executes until its next effect.  Because each [get],
-    [set], [cas], [touch], [new_node] and lock attempt performs its effect
+    [set], [cas], [touch], [node] and lock attempt performs its effect
     {e before} touching memory, every inter-effect interval contains at most
     one shared access, i.e. schedule points and shared accesses coincide —
     precisely the granularity at which the paper's schedules are defined.
@@ -51,7 +51,7 @@ let fresh_shadow () =
     s_writers = 0;
   }
 
-(* Shared by location-less steps ([touch], [new_node]); the analysis layer
+(* Shared by location-less steps ([touch], [node]); the analysis layer
    skips shadows with a negative location. *)
 let no_shadow =
   { s_loc = -1; s_wr_tid = -1; s_wr_clock = 0; s_sync = [||]; s_lockset = None; s_writers = 0 }
@@ -94,23 +94,25 @@ let pp_access ppf a = Format.fprintf ppf "%a(%s)" pp_kind a.kind a.name
 type 'a cell = { mutable v : 'a; c_line : int; c_name : string; c_shadow : shadow }
 
 (* This backend is what names are for: schedule scripts address steps by
-   them, so algorithms must take their [named = true] branch and build the
-   full Naming.* vocabulary. *)
+   them.  Algorithms pass only constant prefixes, labels and tags; the
+   names are composed here, once per node and once per cell. *)
 let named = true
+
+type site = { site_line : int; site_label : string }
 
 let line_counter = ref 0
 
-let fresh_line () =
+let site label =
   incr line_counter;
-  !line_counter
+  { site_line = !line_counter; site_label = label }
 
-let make ?(name = "") ~line v =
-  { v; c_line = line; c_name = name; c_shadow = fresh_shadow () }
+let make s tag v =
+  { v; c_line = s.site_line; c_name = Naming.cell s.site_label tag; c_shadow = fresh_shadow () }
 
 (* Padding is a physical-layout concern; the instrumented cost model works
-   in explicit [line]s, so a padded cell is just a cell (and must NOT be
+   in explicit lines, so a padded cell is just a cell (and must NOT be
    re-allocated: schedules address cells by identity). *)
-let make_padded ?name ~line v = make ?name ~line v
+let make_padded = make
 
 let yield ~line ~name ~shadow kind = Effect.perform (Access { line; name; kind; shadow })
 
@@ -135,9 +137,13 @@ let cas c expected desired =
   last_cas_result := success;
   success
 
-let touch ~line ~name = yield ~line ~name ~shadow:no_shadow Touch
+let touch s tag =
+  yield ~line:s.site_line ~name:(Naming.cell s.site_label tag) ~shadow:no_shadow Touch
 
-let new_node ~name ~line = yield ~line ~name ~shadow:no_shadow New_node
+let node prefix key =
+  let s = site (Naming.node prefix key) in
+  yield ~line:s.site_line ~name:s.site_label ~shadow:no_shadow New_node;
+  s
 
 (* No reclamation on the plain instrumented backend: schedules and their
    golden step sequences predate the reclaim layer and must not change.
@@ -156,8 +162,13 @@ let retire _ _ = ()
 
 let recycle p = p
 
-let make_lock ?(name = "") ~line () =
-  { l_line = line; l_name = name; held = false; l_shadow = fresh_shadow () }
+let make_lock s tag =
+  {
+    l_line = s.site_line;
+    l_name = Naming.cell s.site_label tag;
+    held = false;
+    l_shadow = fresh_shadow ();
+  }
 
 let try_lock l =
   yield ~line:l.l_line ~name:l.l_name ~shadow:l.l_shadow Lock_try;

@@ -34,7 +34,7 @@ type shadow = {
 val fresh_shadow : unit -> shadow
 
 val no_shadow : shadow
-(** Placeholder carried by location-less steps ([touch], [new_node]); its
+(** Placeholder carried by location-less steps ([touch], [node]); its
     [s_loc] is [-1] and analyses skip it. *)
 
 type access_kind =
@@ -65,16 +65,23 @@ val pp_access : Format.formatter -> access -> unit
 type 'a cell
 
 val named : bool
-(** [true]: schedule scripts address steps by name, so algorithms must
-    build the [Naming.*] vocabulary for this backend. *)
+(** [true]: this backend names steps (see {!Mem_intf.S.named}). *)
 
-val fresh_line : unit -> int
+type site
+(** A line plus the label the steps of its cells are named by. *)
 
-val make : ?name:string -> line:int -> 'a -> 'a cell
+val node : string -> int -> site
+(** Fresh line labelled {!Naming.node}[ prefix key]; performs the
+    [new(label)] step. *)
 
-val make_padded : ?name:string -> line:int -> 'a -> 'a cell
+val site : string -> site
+
+val make : site -> string -> 'a -> 'a cell
+(** The cell's steps are named {!Naming.cell}[ label tag]. *)
+
+val make_padded : site -> string -> 'a -> 'a cell
 (** Identical to {!make}: padding is a physical-layout concern the
-    instrumented cost model expresses through [line]s instead. *)
+    instrumented cost model expresses through lines instead. *)
 
 val get : 'a cell -> 'a
 
@@ -88,9 +95,7 @@ val last_cas_result : bool ref
     writes from failed attempts).  Single-domain cooperative execution
     makes the singleton safe. *)
 
-val touch : line:int -> name:string -> unit
-
-val new_node : name:string -> line:int -> unit
+val touch : site -> string -> unit
 
 val reclaiming : bool
 (** [false]: the plain instrumented backend never recycles, so golden
@@ -109,7 +114,7 @@ val retire : 'a pool -> 'a -> unit
 
 val recycle : 'a pool -> 'a
 
-val make_lock : ?name:string -> line:int -> unit -> lock
+val make_lock : site -> string -> lock
 
 val try_lock : lock -> bool
 

@@ -52,7 +52,7 @@ module Make (Cfg : CONFIG) = struct
   let make_pool ~dummy =
     {
       dummy;
-      epoch = Instr_mem.make ~name:"reclaim.epoch" ~line:(Instr_mem.fresh_line ()) 1;
+      epoch = Instr_mem.make (Instr_mem.site "reclaim") "epoch" 1;
       active = [| 0; 0; 0 |];
       bags = [| []; []; [] |];
       bag_lens = [| 0; 0; 0 |];

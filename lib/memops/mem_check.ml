@@ -9,7 +9,7 @@ module _ : Mem_intf.S = Instr_mem
    as a functor over {!Mem_intf.S}, must leave the same abstract set
    behind on both backends.  The workload is a miniature sorted
    singly-linked set exercising every primitive of the signature — get,
-   set, cas (taken and failed), touch, new_node, try_lock, blocking
+   set, cas (taken and failed), touch, node creation, try_lock, blocking
    lock/unlock — so a backend whose primitive semantics drift (a cas that
    misreports, a set that is lost, lock state leaking between operations)
    produces a visible set difference rather than a subtle downstream
@@ -21,14 +21,13 @@ module Parity_workload (M : Mem_intf.S) = struct
   type node = Nil | Node of { value : int; next : node M.cell }
 
   let insert head v =
-    let line = M.fresh_line () in
-    if M.named then M.new_node ~name:(Printf.sprintf "P%d" v) ~line;
+    let s = M.node "P" v in
     let rec walk prev =
       match M.get prev with
       | Node { value; next } when value < v -> walk next
       | Node { value; _ } when value = v -> false
       | at ->
-          let n = Node { value = v; next = M.make ~name:"p.next" ~line at } in
+          let n = Node { value = v; next = M.make s "next" at } in
           M.cas prev at n
     in
     walk head
@@ -53,10 +52,10 @@ module Parity_workload (M : Mem_intf.S) = struct
   (* One deterministic mixed run: interleaved inserts/removes, a failed
      cas, lock-guarded mutation, and the bookkeeping primitives. *)
   let run () =
-    let line = M.fresh_line () in
-    let head = M.make ~name:"p.head" ~line Nil in
-    M.touch ~line ~name:"p.touch";
-    let lock = M.make_lock ~name:"p.lock" ~line () in
+    let s = M.site "p" in
+    let head = M.make s "head" Nil in
+    M.touch s "touch";
+    let lock = M.make_lock s "lock" in
     let log = ref [] in
     let record op v r = log := (op, v, r) :: !log in
     List.iter

@@ -16,10 +16,15 @@
 
     The vocabulary matches what the paper's schedules are made of: [get] /
     [set] / [cas] on node fields, node-creation events, and per-node locks.
-    Lines tag the coherence granule an access belongs to: all cells of one
-    list node share the node's line, mirroring the fact that a node's
+    Every node lives on one {e site}: a coherence granule (all cells of
+    one list node share the node's line, mirroring the fact that a node's
     [val]/[next]/[deleted]/lock metadata share a cache line on the paper's
-    testbeds.  The real backend ignores lines and names entirely. *)
+    testbeds) plus the label instrumented backends name its steps by.
+    Algorithms hand the backend only constants — a prefix and the node's
+    key, a sentinel's label, a field tag per cell — and the instrumented
+    backends compose the step names ({!Naming}); the real backend ignores
+    sites, labels and tags entirely, so construction there allocates the
+    cells and nothing else. *)
 
 module type S = sig
   type 'a cell
@@ -27,28 +32,37 @@ module type S = sig
 
   val named : bool
   (** Whether this backend consumes step names.  Instrumented backends say
-      [true]; the real backend says [false], and algorithms use the flag to
-      skip building [Naming.*] strings (and the [new_node]/[touch] calls
-      that would carry them) entirely.  This keeps the real hot path
-      allocation-free: a [make ~name:...] call site boxes the optional
-      argument and builds the string even though {!Real_mem} discards both.
-      Instrumented step names are unaffected — the [named = true] branch of
-      every algorithm is the verbatim pre-existing naming code. *)
+      [true]; the real backend says [false].  Its only remaining use is the
+      guard on Harris-Michael's per-hop {!touch}: without it, every hop on
+      the real engine would pay an indirect call to a no-op. *)
 
-  val fresh_line : unit -> int
-  (** Allocate a new coherence-granule identifier.  Each list node calls
-      this once and tags all its cells with the result. *)
+  type site
+  (** Where a node's cells live: a coherence granule plus the label its
+      steps are named by.  An immediate on the real backend. *)
 
-  val make : ?name:string -> line:int -> 'a -> 'a cell
-  (** [make ?name ~line v] allocates a cell on [line] with initial value
-      [v].  [name] only matters to instrumented backends (it is how schedule
-      scripts refer to steps, e.g. ["X1.next"]). *)
+  val node : string -> int -> site
+  (** [node prefix key] opens the site of a freshly allocated node — a new
+      line, labelled from the constant [prefix] and the node's [key]
+      (["X5"], ["N3"], ["Lmin"]; see {!Naming.node}) — and records its
+      creation step, the [new(X)] events of the paper's schedules (e.g.
+      Figure 2).  No-op returning a constant on the real backend. *)
 
-  val make_padded : ?name:string -> line:int -> 'a -> 'a cell
+  val site : string -> site
+  (** [site label] opens a new line with a constant [label] (["h"], ["t"],
+      ["global"], …) and records no step: sentinels and global cells.  The
+      empty label names each cell by its tag alone. *)
+
+  val make : site -> string -> 'a -> 'a cell
+  (** [make s tag v] allocates a cell on [s] with initial value [v].  The
+      constant field [tag] (["val"], ["next"], ["del"], …) only matters to
+      instrumented backends, which name the cell's steps ["label.tag"]
+      (e.g. ["X1.next"]) — how schedule scripts refer to them. *)
+
+  val make_padded : site -> string -> 'a -> 'a cell
   (** Like {!make}, but the real backend places the cell on its own cache
       line (cf. [Padding.copy_as_padded]) so hot counters written by
       different domains never false-share.  Instrumented backends — whose
-      cost model already works in explicit [line]s — treat it exactly as
+      cost model already works in explicit lines — treat it exactly as
       {!make}. *)
 
   val get : 'a cell -> 'a
@@ -59,20 +73,16 @@ module type S = sig
   (** [cas c expected desired] — single-word compare-and-set on physical
       equality, as with [Atomic.compare_and_set]. *)
 
-  val touch : line:int -> name:string -> unit
-  (** Record a read of an immutable allocation living on [line].  Used by
-      the Harris-Michael AMR variant, whose mark/pointer pair is a separate
-      allocation: the extra dependent load the paper blames for its slower
-      traversals.  No-op on the real backend (the actual dependent load
-      happens in the OCaml code itself). *)
-
-  val new_node : name:string -> line:int -> unit
-  (** Record a node-creation step (the [new(X)] events of the paper's
-      schedules, e.g. Figure 2).  No-op on the real backend. *)
+  val touch : site -> string -> unit
+  (** [touch s tag] records a read of an immutable allocation living on
+      [s].  Used by the Harris-Michael AMR variant, whose mark/pointer pair
+      is a separate allocation: the extra dependent load the paper blames
+      for its slower traversals.  No-op on the real backend (the actual
+      dependent load happens in the OCaml code itself). *)
 
   val reclaiming : bool
-  (** Whether this backend reclaims retired nodes.  Like {!named}, this is
-      a branch-compile-time flag algorithms guard on: when [false] (the
+  (** Whether this backend reclaims retired nodes.  This is a
+      branch-compile-time flag algorithms guard on: when [false] (the
       plain real and instrumented backends) every reclamation hook below
       is a no-op and algorithms skip the epoch brackets and free-list
       probes entirely, so the non-reclaiming hot paths are byte-for-byte
@@ -114,7 +124,8 @@ module type S = sig
   type lock
   (** A per-node mutex. *)
 
-  val make_lock : ?name:string -> line:int -> unit -> lock
+  val make_lock : site -> string -> lock
+  (** [make_lock s tag], named like a cell (["X1.lock"]). *)
 
   val try_lock : lock -> bool
   (** One acquisition attempt; never waits. *)

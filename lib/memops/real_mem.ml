@@ -2,8 +2,8 @@
     with exponential backoff, instrumentation hooks are no-ops.  See
     {!Mem_intf.S} for the contract.
 
-    [named = false]: algorithms skip name construction entirely, so a
-    node's creation allocates exactly its cells and nothing else.  The
+    Sites are [unit] and labels and tags are ignored, so a node's
+    creation allocates exactly its cells and nothing else.  The
     accessors are [@inline]-annotated single primitives, letting the
     compiler collapse them into the callers once a functor body is
     specialised (flambda collapses the whole indirection; classic mode
@@ -13,15 +13,19 @@ type 'a cell = 'a Atomic.t
 
 let named = false
 
-let fresh_line () = 0
+type site = unit
 
-let[@inline] make ?name:_ ~line:_ v = Atomic.make v
+let[@inline] node _ _ = ()
+
+let[@inline] site _ = ()
+
+let[@inline] make () _ v = Atomic.make v
 
 (* A padded cell spans a whole cache line, so striped counters written by
    different domains never invalidate each other's lines.  Cold path only
    (cells are padded at creation; accesses go through the same [Atomic]
    primitives). *)
-let make_padded ?name:_ ~line:_ v = Vbl_sync.Padding.copy_as_padded (Atomic.make v)
+let make_padded () _ v = Vbl_sync.Padding.copy_as_padded (Atomic.make v)
 
 let[@inline] get c = Atomic.get c
 
@@ -29,9 +33,7 @@ let[@inline] set c v = Atomic.set c v
 
 let[@inline] cas c expected desired = Atomic.compare_and_set c expected desired
 
-let[@inline] touch ~line:_ ~name:_ = ()
-
-let[@inline] new_node ~name:_ ~line:_ = ()
+let[@inline] touch () _ = ()
 
 (* No reclamation: the pool is just the dummy sentinel, so [recycle]
    always "misses" and algorithms always allocate fresh nodes — the
@@ -53,18 +55,7 @@ let[@inline] recycle p = p
 
 type lock = Vbl_sync.Try_lock.t
 
-(* Opt-in cache-line padding for per-node lock words (curbs false sharing
-   between a node's lock and its neighbours at 8 words/lock): set
-   VBL_PADDED_LOCKS=1 in the environment.  Read once at module
-   initialisation so the per-node decision is one immutable bool. *)
-let padded_locks =
-  match Sys.getenv_opt "VBL_PADDED_LOCKS" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-let make_lock ?name:_ ~line:_ () =
-  if padded_locks then Vbl_sync.Try_lock.create_padded ()
-  else Vbl_sync.Try_lock.create ()
+let make_lock () _ = Vbl_sync.Try_lock.create ()
 
 let[@inline] try_lock l = Vbl_sync.Try_lock.try_lock l
 

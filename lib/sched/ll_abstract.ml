@@ -335,10 +335,9 @@ let enumerate ~initial ~ops ?(max = 1_000_000) (f : t -> unit) =
   explore [];
   !complete
 
-let node_name (n : node) =
-  if n.value = min_int then Vbl_lists.Naming.head
-  else if n.value = max_int then Vbl_lists.Naming.tail
-  else Vbl_lists.Naming.node n.value
+module Naming = Vbl_memops.Naming
+
+let node_name (n : node) = Naming.node "X" n.value
 
 (** Translate an abstract schedule into a directed-driver script: data reads
     and effective writes keep their order; implementation-specific metadata
@@ -353,12 +352,12 @@ let to_script t =
     (fun s ->
       match s with
       | S_read_next { op; node; _ } ->
-          Directed.Step (op, read (Vbl_lists.Naming.next_cell (node_name node)))
+          Directed.Step (op, read (Naming.cell (node_name node) "next"))
       | S_read_val { op; node; _ } ->
-          Directed.Step (op, read (Vbl_lists.Naming.value_cell (node_name node)))
+          Directed.Step (op, read (Naming.cell (node_name node) "val"))
       | S_new { op; node; _ } -> Directed.Step (op, Pattern.New_node (node_name node))
       | S_write_next { op; node; _ } ->
-          Directed.Step (op, write (Vbl_lists.Naming.next_cell (node_name node)))
+          Directed.Step (op, write (Naming.cell (node_name node) "next"))
       | S_return { op; result } -> Directed.Ret (op, result))
     (schedule t)
 

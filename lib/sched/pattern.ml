@@ -3,7 +3,7 @@
     The paper's figures name steps at node granularity — [R(X1)] reads any
     field of node X1, [W(h)] effectively writes the head's successor link,
     [new(X2)] creates the node storing 2.  Patterns classify the cells named
-    by {!Naming}: [val]/[next]/[amr] cells are {e data}, [del]/[lock] cells,
+    by {!Vbl_memops.Naming}: [val]/[next]/[amr] cells are {e data}, [del]/[lock] cells,
     touches and lock operations are {e metadata}.  Directed driving skips a
     thread's non-matching steps, mirroring the figures' "not all steps are
     depicted". *)

@@ -1,7 +1,7 @@
 (** Step patterns: how schedule scripts refer to implementation steps, in
     the paper's node-level vocabulary ([R(X1)], [W(h)], [new(X2)], ...).
 
-    Cells are classified by their {!Vbl_lists.Naming} suffix:
+    Cells are classified by their {!Vbl_memops.Naming} field tag:
     [val]/[next]/[amr] are {e data}; [del]/[lock] cells, pair touches and
     lock operations are {e metadata} that directed driving may skip. *)
 

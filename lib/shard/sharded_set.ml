@@ -98,7 +98,8 @@ module Make (C_ : CONFIG) (B : Vbl_lists.Set_intf.MAKER) (M : Vbl_memops.Mem_int
   let create () =
     let shards = Array.init shard_count (fun _ -> Backend.create ()) in
     let sizes =
-      Array.init shard_count (fun _ -> M.make_padded ~line:(M.fresh_line ()) 0)
+      (* One line per stripe; unlabelled, so their steps carry empty names. *)
+      Array.init shard_count (fun _ -> M.make_padded (M.site "") "" 0)
     in
     { shards; sizes }
 

@@ -10,8 +10,8 @@ module Make (M : Vbl_memops.Mem_intf.S) : Vbl_lists.Set_intf.S = struct
   type t = { lock : M.lock; inner : Seq.t }
 
   let create () =
-    let line = M.fresh_line () in
-    { lock = M.make_lock ~name:"bst.lock" ~line (); inner = Seq.create () }
+    let s = M.site "bst" in
+    { lock = M.make_lock s "lock"; inner = Seq.create () }
 
   let critical t f =
     M.lock t.lock;

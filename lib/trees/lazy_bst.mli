@@ -1,7 +1,7 @@
 (** Lazy (Heller-style) external BST baseline: wait-free [contains],
     lock-then-validate updates that take their window locks {e before}
     deciding the outcome — the over-synchronising contrast to
-    {!Vbl_bst}'s decide-without-locking discipline.  Naming and
+    {!Vbl_bst}'s decide-without-locking discipline.  Step names and
     structure follow {!Seq_bst} (["R<key>"] routers, ["L<value>"]
     leaves). *)
 

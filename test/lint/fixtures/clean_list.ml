@@ -1,23 +1,15 @@
-(* Negative control: a miniature list that satisfies all four rules —
-   guarded naming, balanced or [@acquires]-tagged locking, and a
-   zero-allocation [@hot] walk.  Must produce no findings. *)
+(* Negative control: a miniature list that satisfies the source rules —
+   backend-only node construction (one path: the backend names the
+   steps), balanced or [@acquires]-tagged locking, and a zero-allocation
+   [@hot] walk.  Must produce no findings. *)
 module Make (M : Mem) = struct
   type node =
     | Node of { value : int M.cell; next : node M.cell; lock : M.lock }
     | Tail of { value : int M.cell }
 
   let make_node v next =
-    let line = M.fresh_line () in
-    if M.named then begin
-      let nm = Naming.node v in
-      Node
-        {
-          value = M.make ~name:(Naming.value_cell nm) ~line v;
-          next = M.make ~name:(Naming.next_cell nm) ~line next;
-          lock = M.make_lock ~name:(Naming.lock_cell nm) ~line ();
-        }
-    end
-    else Node { value = M.make ~line v; next = M.make ~line next; lock = M.make_lock ~line () }
+    let s = M.node "X" v in
+    Node { value = M.make s "val" v; next = M.make s "next" next; lock = M.make_lock s "lock" }
 
   let[@hot] [@acquires] lock_next_at node at =
     M.lock (node_lock node);

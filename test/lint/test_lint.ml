@@ -37,11 +37,6 @@ let l1_mutation () =
     [ ("L1", 4, 11); ("L1", 6, 13); ("L1", 7, 11); ("L1", 8, 22) ]
     (spans ~rules:[ F.L1 ] "bad_l1_mutation.ml")
 
-let l2_naming () =
-  check_spans "unguarded Naming mentions flagged, guarded and when-guarded ones clean"
-    [ ("L2", 11, 13); ("L2", 11, 31); ("L2", 12, 19); ("L2", 12, 32); ("L2", 15, 27) ]
-    (spans ~rules:[ F.L2 ] "bad_l2_naming.ml")
-
 let l3_leak () =
   check_spans
     "branch leak, one-sided acquire and loop leak flagged; balanced/try-lock/protect/[@acquires] clean"
@@ -103,8 +98,8 @@ let clean_fixtures () =
     (spans "clean_comments.ml")
 
 let rule_selection () =
-  check_spans "an L1-riddled file is clean when only L2 is requested" []
-    (spans ~rules:[ F.L2 ] "bad_l1_atomic.ml");
+  check_spans "an L1-riddled file is clean when only L3 is requested" []
+    (spans ~rules:[ F.L3 ] "bad_l1_atomic.ml");
   check_spans "an L4-riddled file is clean when only L3 is requested" []
     (spans ~rules:[ F.L3 ] "bad_l4_hot.ml");
   check_spans "an L5-riddled file is clean when only L6 is requested" []
@@ -129,7 +124,6 @@ let () =
         [
           Alcotest.test_case "L1 atomics" `Quick l1_atomics;
           Alcotest.test_case "L1 mutation" `Quick l1_mutation;
-          Alcotest.test_case "L2 naming" `Quick l2_naming;
           Alcotest.test_case "L3 lock pairing" `Quick l3_leak;
           Alcotest.test_case "L4 hot allocation" `Quick l4_hot;
         ] );

@@ -49,9 +49,9 @@ let failure_tests =
     Alcotest.test_case "Deadlock carries a schedule that replays to deadlock" `Quick
       (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let a = Instr.make_lock ~name:"A.lock" ~line () in
-          let b = Instr.make_lock ~name:"B.lock" ~line () in
+          let site = Instr.site "" in
+          let a = Instr.make_lock site "A.lock" in
+          let b = Instr.make_lock site "B.lock" in
           let grab l1 l2 () =
             Instr.lock l1;
             Instr.lock l2;
@@ -71,8 +71,8 @@ let failure_tests =
         | None -> Alcotest.fail "expected Deadlock, found no failure");
     Alcotest.test_case "Step_limit carries the truncated schedule" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let c = Instr.make ~name:"c" ~line 0 in
+          let site = Instr.site "" in
+          let c = Instr.make site "c" 0 in
           [
             (fun () ->
               while Instr.get c >= 0 do
@@ -91,8 +91,8 @@ let failure_tests =
         | _ -> Alcotest.fail "expected Step_limit");
     Alcotest.test_case "Crashed carries the exception and its schedule" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let c = Instr.make ~name:"c" ~line 0 in
+          let site = Instr.site "" in
+          let c = Instr.make site "c" 0 in
           [
             (fun () ->
               if Instr.get c = 0 then failwith "seeded crash";
@@ -108,9 +108,9 @@ let failure_tests =
         | _ -> Alcotest.fail "expected Crashed");
     Alcotest.test_case "naive DFS reports the same deadlock" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let a = Instr.make_lock ~name:"A.lock" ~line () in
-          let b = Instr.make_lock ~name:"B.lock" ~line () in
+          let site = Instr.site "" in
+          let a = Instr.make_lock site "A.lock" in
+          let b = Instr.make_lock site "B.lock" in
           let grab l1 l2 () =
             Instr.lock l1;
             Instr.lock l2;
@@ -393,8 +393,8 @@ let integration_tests =
   [
     Alcotest.test_case "unsynchronized writers are flagged as a race" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let c = Instr.make ~name:"c" ~line 0 in
+          let site = Instr.site "" in
+          let c = Instr.make site "c" 0 in
           [ (fun () -> Instr.set c 1); (fun () -> Instr.set c 2) ]
         in
         let report =
@@ -407,9 +407,9 @@ let integration_tests =
         | _ -> Alcotest.fail "expected a race violation");
     Alcotest.test_case "lock-protected writers pass the analysis" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let c = Instr.make ~name:"c" ~line 0 in
-          let l = Instr.make_lock ~name:"c.lock" ~line () in
+          let site = Instr.site "" in
+          let c = Instr.make site "c" 0 in
+          let l = Instr.make_lock site "c.lock" in
           let body v () =
             Instr.lock l;
             Instr.set c v;
@@ -424,8 +424,8 @@ let integration_tests =
         Alcotest.(check bool) "no failure" true (report.Explore.failure = None));
     Alcotest.test_case "self try-lock while holding is linted" `Quick (fun () ->
         let mk () =
-          let line = Instr.fresh_line () in
-          let l = Instr.make_lock ~name:"c.lock" ~line () in
+          let site = Instr.site "" in
+          let l = Instr.make_lock site "c.lock" in
           [
             (fun () ->
               Instr.lock l;

@@ -79,9 +79,9 @@ let pattern_tests =
 (* Directed-driver behaviour on a tiny custom scenario built from raw
    instrumented cells (no list needed). *)
 let make_cells () =
-  let line = Instr.fresh_line () in
-  let a = Instr.make ~name:"X1.next" ~line 0 in
-  let lock = Instr.make_lock ~name:"X1.lock" ~line () in
+  let site = Instr.site "" in
+  let a = Instr.make site "X1.next" 0 in
+  let lock = Instr.make_lock site "X1.lock" in
   (a, lock)
 
 let driver_tests =

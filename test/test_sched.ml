@@ -12,7 +12,7 @@ module Instr = Vbl_memops.Instr_mem
 let exec_tests =
   [
     Alcotest.test_case "threads pause at their first access" `Quick (fun () ->
-        let cell = Instr.make ~name:"c" ~line:(Instr.fresh_line ()) 0 in
+        let cell = Instr.make (Instr.site "") "c" 0 in
         let exec = Exec.create [ (fun () -> Instr.set cell 1) ] in
         (match Exec.pending exec 0 with
         | Exec.Access a ->
@@ -26,8 +26,8 @@ let exec_tests =
         Alcotest.(check bool) "value written" true
           (Instr.run_sequential (fun () -> Instr.get cell) = 1));
     Alcotest.test_case "interleaving is scheduler-controlled" `Quick (fun () ->
-        let line = Instr.fresh_line () in
-        let cell = Instr.make ~name:"c" ~line 0 in
+        let site = Instr.site "" in
+        let cell = Instr.make site "c" 0 in
         let log = ref [] in
         let body tag () =
           let v = Instr.get cell in
@@ -44,8 +44,8 @@ let exec_tests =
         Alcotest.(check int) "lost update observed" 1
           (Instr.run_sequential (fun () -> Instr.get cell)));
     Alcotest.test_case "lock blocks a second acquirer" `Quick (fun () ->
-        let line = Instr.fresh_line () in
-        let lock = Instr.make_lock ~name:"l" ~line () in
+        let site = Instr.site "" in
+        let lock = Instr.make_lock site "l" in
         let exec =
           Exec.create
             [
@@ -64,8 +64,8 @@ let exec_tests =
         Alcotest.(check bool) "t1 not runnable" false (Exec.runnable exec 1);
         Alcotest.(check bool) "deadlock detected" true (Exec.deadlocked exec));
     Alcotest.test_case "release wakes the waiter" `Quick (fun () ->
-        let line = Instr.fresh_line () in
-        let lock = Instr.make_lock ~name:"l" ~line () in
+        let site = Instr.site "" in
+        let lock = Instr.make_lock site "l" in
         let exec =
           Exec.create
             [
@@ -86,9 +86,9 @@ let exec_tests =
         Exec.drain exec;
         Alcotest.(check bool) "all done" true (Exec.finished exec));
     Alcotest.test_case "drain completes a three-thread workout" `Quick (fun () ->
-        let line = Instr.fresh_line () in
-        let cell = Instr.make ~name:"c" ~line 0 in
-        let lock = Instr.make_lock ~name:"l" ~line () in
+        let site = Instr.site "" in
+        let cell = Instr.make site "c" 0 in
+        let lock = Instr.make_lock site "l" in
         let body () =
           Instr.lock lock;
           Instr.set cell (Instr.get cell + 1);

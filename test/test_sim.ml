@@ -79,7 +79,7 @@ let machine_tests =
     Alcotest.test_case "clocks advance by access costs" `Quick (fun () ->
         let coherence = C.create ~n_threads:1 () in
         let body () =
-          let c = Instr.make ~name:"c" ~line:(Instr.fresh_line ()) 0 in
+          let c = Instr.make (Instr.site "") "c" 0 in
           Instr.set c 1;
           ignore (Instr.get c)
         in
@@ -92,9 +92,9 @@ let machine_tests =
           (Vbl_sim.Machine.clock m 0));
     Alcotest.test_case "horizon stops the run" `Quick (fun () ->
         let coherence = C.create ~n_threads:1 () in
-        let line = Instr.fresh_line () in
+        let site = Instr.site "" in
         let body () =
-          let c = Instr.make ~name:"c" ~line 0 in
+          let c = Instr.make site "c" 0 in
           for _ = 1 to 1_000_000 do
             Instr.set c 1
           done
@@ -104,8 +104,8 @@ let machine_tests =
         Alcotest.(check bool) "bounded" true (steps < 200));
     Alcotest.test_case "lock handoff pulls waiter clocks forward" `Quick (fun () ->
         let coherence = C.create ~n_threads:2 () in
-        let line = Instr.fresh_line () in
-        let lock = Instr.make_lock ~name:"l" ~line () in
+        let site = Instr.site "" in
+        let lock = Instr.make_lock site "l" in
         let body () =
           Instr.lock lock;
           Instr.unlock lock
