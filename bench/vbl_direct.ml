@@ -134,9 +134,6 @@ let fold f init t =
   in
   loop init t.head
 
-let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-let size t = fold (fun acc _ -> acc + 1) 0 t
-
 include Vbl_lists.Set_intf.Derive (struct
   type nonrec t = t
 

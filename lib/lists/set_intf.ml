@@ -60,14 +60,9 @@ module type S = sig
       per-implementation: genuinely linearizable only where the
       collection runs in mutual exclusion (the coarse wrappers collect
       under their global lock).  Everywhere else the operation derives
-      from {!Derive} and is best-effort: the traversal repeats until two
-      successive collections agree (bounded retries), which filters most
-      torn windows but certifies nothing — a key removed and re-inserted
-      between the two collections (ABA) restores agreement, so the
-      result can be a window that no single instant ever contained, and
-      an agreeing result is indistinguishable from one returned because
-      the retry budget ran out.  Each implementation documents which
-      contract it provides. *)
+      from {!Derive} and is best-effort: one collecting traversal, whose
+      result can be a window that no single instant ever contained.  Each
+      implementation documents which contract it provides. *)
 
   val approx_size : t -> int
   (** A cheap, possibly stale cardinality estimate.  Exact at
@@ -81,13 +76,16 @@ end
     control ({!Instr_mem}). *)
 module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
 
-(** Derives the range operations from a presence-aware ascending [fold].
+(** Derives the fold-based operations — [to_list], [size], [iter],
+    [approx_size] and [range_query] — from a presence-aware ascending
+    [fold].
 
-    [range_query] uses the double-collect discipline: collect the window,
-    collect it again, retry until two successive collections agree.
-    This is a stabilisation heuristic, {e not} a snapshot certificate.
-    Agreement does not imply the window was stable: with initial [{1}],
-    a single updater running
+    [range_query] is one collecting traversal filtered to the window.  It
+    is best-effort, not a snapshot: each returned value was present when
+    its node was read, but under concurrent updates the window as a whole
+    may never have existed at any single instant.  Collecting again until
+    two collections agree would not change that: with initial [{1}], a
+    single updater running
     [remove 1; insert 2; remove 2; insert 1; remove 1; insert 2]
     concurrently with [range_query 1 2] can let both collections observe
     [[1; 2]] even though [{1, 2}] never exists at any instant — the
@@ -97,37 +95,24 @@ module type MAKER = functor (M : Vbl_memops.Mem_intf.S) -> S
     the lists and routing-node stamps for the trees); no family carries
     them, so {e every} structure deriving its range ops from this
     functor — locked, versioned and lock-free alike — provides the
-    best-effort contract only.  The retry budget bounds the cost under
-    adversarial churn; when it runs out the latest collection is
-    returned as-is.  That surrender is deliberately not surfaced to the
-    caller: since agreement certifies nothing either, a flag separating
-    the two outcomes would carry no semantic weight.  Truly linearizable
-    range queries live where a single collection runs in mutual
-    exclusion — the coarse wrappers, which collect under their global
-    lock. *)
+    best-effort contract only, at the cost of one traversal.  Truly
+    linearizable range queries live where a single collection runs in
+    mutual exclusion — the coarse wrappers, which collect under their
+    global lock. *)
 module Derive (Base : sig
   type t
 
   val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 end) =
 struct
+  let to_list t = List.rev (Base.fold (fun acc v -> v :: acc) [] t)
+  let size t = Base.fold (fun n _ -> n + 1) 0 t
   let iter f t = Base.fold (fun () v -> f v) () t
-  let approx_size t = Base.fold (fun n _ -> n + 1) 0 t
+  let approx_size = size
 
-  (* Descending collection (no final reverse) — cheaper to compare across
-     retries; reversed once on acceptance. *)
+  (* Descending collection, reversed once. *)
   let collect t lo hi =
     Base.fold (fun acc v -> if lo <= v && v <= hi then v :: acc else acc) [] t
 
-  let stabilize_budget = 64
-
-  let range_query t lo hi =
-    if lo > hi then []
-    else
-      let rec stabilize prev budget =
-        let cur = collect t lo hi in
-        if cur = prev || budget <= 0 then List.rev cur
-        else stabilize cur (budget - 1)
-      in
-      stabilize (collect t lo hi) stabilize_budget
+  let range_query t lo hi = if lo > hi then [] else List.rev (collect t lo hi)
 end

@@ -582,6 +582,10 @@ let () =
           (module Vbl_skiplists.Registry.Lockfree_skip);
           (module Vbl_trees.Registry.Vbl_bst_impl);
           (module Vbl_trees.Registry.Lockfree_bst_impl);
+          (module Vbl_lists.Registry.Vbl_reclaim);
+          (module Vbl_lists.Registry.Lazy_reclaim);
+          (module Vbl_lists.Registry.Harris_michael_reclaim);
+          (module Vbl_shard.Registry.Vbl_sharded_8_reclaim);
         ]
   in
   Alcotest.run "differential"
