@@ -50,6 +50,9 @@ val amd_topology : topology
 type t
 
 val create : ?costs:costs -> ?topology:topology -> n_threads:int -> unit -> t
+(** A directory for threads [0 .. n_threads - 1]. *)
+
+val n_threads : t -> int
 
 val read : t -> thread:int -> line:int -> int
 (** Charge a read and update the directory. *)
